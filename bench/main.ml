@@ -25,6 +25,26 @@ let heading title =
 
 let note fmt = Printf.ksprintf (fun s -> Printf.printf "%s\n" s) fmt
 
+(* Every experiment that keeps a trajectory writes its BENCH_*.json
+   report through here. *)
+let write_report file json =
+  let oc = open_out file in
+  output_string oc (Peak_store.Json.to_string json);
+  output_char oc '\n';
+  close_out oc;
+  note "wrote %s" file
+
+(* A gated experiment exits 1 on any failure, listing each on stderr;
+   setting its [env] variable to "off" downgrades the breach to a
+   notice. *)
+let gate ~env name failures =
+  match (failures, Sys.getenv_opt env) with
+  | [], _ -> ()
+  | over, Some "off" -> note "%s gate failed (%s), but %s=off" name (String.concat "; " over) env
+  | over, _ ->
+      List.iter (fun e -> Printf.eprintf "%s: %s\n" name e) over;
+      exit 1
+
 (* ================================================================== *)
 (* Table 1: rating consistency                                         *)
 (* ================================================================== *)
@@ -269,7 +289,7 @@ let ablation_search () =
   in
   List.iter
     (fun (label, algo) ->
-      let r = Driver.tune ~search:algo ~method_:Method.Mbr b Machine.pentium4 Trace.Train in
+      let r = Driver.tune ~strategy:algo ~method_:Method.Mbr b Machine.pentium4 Trace.Train in
       let imp = Driver.improvement_pct b Machine.pentium4 ~best:r.Driver.best_config Trace.Ref in
       Table.add_row t
         [
@@ -279,12 +299,12 @@ let ablation_search () =
           Table.fmt_float ~decimals:2 r.Driver.tuning_seconds;
         ])
     [
-      ("Iterative Elimination", Driver.Ie);
-      ("Batch Elimination", Driver.Be);
-      ("Combined Elimination", Driver.Ce);
-      ("Random (100 samples)", Driver.Random 100);
-      ("Fractional factorial [2]", Driver.Ff);
-      ("OSE presets [13]", Driver.Ose);
+      ("Iterative Elimination", Strategy.Ie);
+      ("Batch Elimination", Strategy.Be);
+      ("Combined Elimination", Strategy.Ce);
+      ("Random (100 samples)", Strategy.Random 100);
+      ("Fractional factorial [2]", Strategy.Ff);
+      ("OSE presets [13]", Strategy.Ose);
     ];
   Table.print t;
   note "Expected: the elimination searches land within a few percent of each";
@@ -695,18 +715,8 @@ let adaptive () =
          ("pass", Json.Bool (!failures = []));
        ]
    in
-   let oc = open_out report in
-   output_string oc (Json.to_string json);
-   output_char oc '\n';
-   close_out oc);
-  note "wrote %s" report;
-  match (List.rev !failures, Sys.getenv_opt "PEAK_ADAPTIVE_GATE") with
-  | [], _ -> ()
-  | over, Some "off" ->
-      note "adaptive gate failed (%s), but PEAK_ADAPTIVE_GATE=off" (String.concat "; " over)
-  | over, _ ->
-      List.iter (fun e -> Printf.eprintf "adaptive: %s\n" e) over;
-      exit 1
+   write_report report json);
+  gate ~env:"PEAK_ADAPTIVE_GATE" "adaptive" (List.rev !failures)
 
 (* ================================================================== *)
 (* Persistent store: journaling overhead and replay speedup            *)
@@ -718,7 +728,7 @@ let store_exp () =
   note "store (journaling every rating), and a replay (resuming the completed";
   note "journal, so every rating is served from the cache).";
   let b = bench "ART" and machine = Machine.pentium4 in
-  let method_ = Method.Rbr and search = Driver.Be in
+  let method_ = Method.Rbr and strategy = Strategy.Be in
   let root = Filename.temp_file "peak-bench-store" "" in
   Sys.remove root;
   Unix.mkdir root 0o755;
@@ -731,9 +741,9 @@ let store_exp () =
   let t_plain, plain =
     time (fun () ->
         Pool.run ~domains:1 (fun pool ->
-            Driver.tune ~search ~method_ ~pool b machine Trace.Train))
+            Driver.tune ~strategy ~method_ ~pool b machine Trace.Train))
   in
-  let meta = Driver.session_meta ~method_ ~search b machine Trace.Train in
+  let meta = Driver.session_meta ~method_ ~strategy b machine Trace.Train in
   let tune_stored () =
     match Peak_store.Session.open_ ~dir ~meta () with
     | Error e -> failwith e
@@ -742,7 +752,7 @@ let store_exp () =
           ~finally:(fun () -> Peak_store.Session.close s)
           (fun () ->
             ( Peak_store.Session.loaded_events s,
-              Driver.tune ~search ~method_ ~store:s b machine Trace.Train ))
+              Driver.tune ~strategy ~method_ ~store:s b machine Trace.Train ))
   in
   let t_cold, (_, cold) = time tune_stored in
   let t_replay, (replayed, warm) = time tune_stored in
@@ -818,7 +828,7 @@ let faults_exp () =
       let b = bench name in
       let tune faults =
         Pool.run ~domains:1 (fun pool ->
-            Driver.tune ?faults ~search:Driver.Be ~pool b machine Trace.Train)
+            Driver.tune ?faults ~strategy:Strategy.Be ~pool b machine Trace.Train)
       in
       let clean = tune None in
       List.iter
@@ -858,7 +868,7 @@ let tracing_exp () =
   let b = bench "ART" and machine = Machine.pentium4 in
   let tune () =
     Pool.run ~domains:2 (fun pool ->
-        Driver.tune ~search:Driver.Be ~pool b machine Trace.Train)
+        Driver.tune ~strategy:Strategy.Be ~pool b machine Trace.Train)
   in
   let timed_tune capacity =
     (match capacity with 0 -> () | c -> Peak_obs.install ~capacity:c ());
@@ -1274,7 +1284,8 @@ let alloc_exp () =
         | Some limit ->
             if after_b <= limit then "ok"
             else begin
-              failures := k :: !failures;
+              failures :=
+                Printf.sprintf "%s exceeds its budget in %s" k alloc_budget_file :: !failures;
               "OVER"
             end
       in
@@ -1310,21 +1321,8 @@ let alloc_exp () =
                | None -> []) ))
          after)
   in
-  let oc = open_out alloc_report_file in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  note "wrote %s" alloc_report_file;
-  match (!failures, Sys.getenv_opt "PEAK_ALLOC_GATE") with
-  | [], _ -> ()
-  | over, Some "off" ->
-      note "allocation budget exceeded by %s, but PEAK_ALLOC_GATE=off"
-        (String.concat ", " (List.rev over))
-  | over, _ ->
-      Printf.eprintf "allocation budget exceeded: %s (see %s)\n"
-        (String.concat ", " (List.rev over))
-        alloc_budget_file;
-      exit 1
+  write_report alloc_report_file json;
+  gate ~env:"PEAK_ALLOC_GATE" "alloc" (List.rev !failures)
 
 (* ================================================================== *)
 (* Tuning service: a synthetic client fleet against peak-tuned          *)
@@ -1470,7 +1468,7 @@ let serve_exp () =
             let b = bench "ART" in
             let params = { Rating.default_params with Rating.max_invocations = 40 } in
             let meta =
-              Driver.session_meta ~method_:Method.Rbr ~search:Driver.Be
+              Driver.session_meta ~method_:Method.Rbr ~strategy:Strategy.Be
                 ~rating_params:params ~seed:(1000 + i) b Machine.pentium4 Trace.Train
             in
             let reference =
@@ -1483,7 +1481,7 @@ let serve_exp () =
                         (fun () ->
                           Ok
                             (Driver.result_summary
-                               (Driver.tune ~seed:(1000 + i) ~search:Driver.Be
+                               (Driver.tune ~seed:(1000 + i) ~strategy:Strategy.Be
                                   ~rating_params:params ~method_:Method.Rbr ~pool
                                   ~store:session b Machine.pentium4 Trace.Train))))
             in
@@ -1532,11 +1530,7 @@ let serve_exp () =
          ("bit_identical", Json.Bool identical);
        ]
    in
-   let oc = open_out serve_report_file in
-   output_string oc (Json.to_string json);
-   output_char oc '\n';
-   close_out oc);
-  note "wrote %s" serve_report_file;
+   write_report serve_report_file json);
   serve_rm_rf root;
   if completed <> fleet then begin
     Printf.eprintf "serve: %d of %d clients failed: %s\n" (List.length failures) fleet
@@ -1721,19 +1715,9 @@ let search_exp () =
          ("pass", Json.Bool (!failures = []));
        ]
    in
-   let oc = open_out search_report_file in
-   output_string oc (Json.to_string json);
-   output_char oc '\n';
-   close_out oc);
-  note "wrote %s" search_report_file;
+   write_report search_report_file json);
   serve_rm_rf root;
-  match (List.rev !failures, Sys.getenv_opt "PEAK_SEARCH_GATE") with
-  | [], _ -> ()
-  | over, Some "off" ->
-      note "search-strategy gate failed (%s), but PEAK_SEARCH_GATE=off" (String.concat "; " over)
-  | over, _ ->
-      List.iter (fun e -> Printf.eprintf "search: %s\n" e) over;
-      exit 1
+  gate ~env:"PEAK_SEARCH_GATE" "search" (List.rev !failures)
 
 (* ------------------------------------------------------------------ *)
 (* Knowledge base: does collaborative warm starting actually save      *)
@@ -1892,18 +1876,8 @@ let kb_exp () =
          ("pass", Json.Bool (!failures = []));
        ]
    in
-   let oc = open_out kb_report_file in
-   output_string oc (Json.to_string json);
-   output_char oc '\n';
-   close_out oc);
-  note "wrote %s" kb_report_file;
-  match (List.rev !failures, Sys.getenv_opt "PEAK_KB_GATE") with
-  | [], _ -> ()
-  | over, Some "off" ->
-      note "kb gate failed (%s), but PEAK_KB_GATE=off" (String.concat "; " over)
-  | over, _ ->
-      List.iter (fun e -> Printf.eprintf "kb: %s\n" e) over;
-      exit 1
+   write_report kb_report_file json);
+  gate ~env:"PEAK_KB_GATE" "kb" (List.rev !failures)
 
 let experiments =
   [

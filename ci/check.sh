@@ -368,6 +368,27 @@ wait_for_sock() {
 tuned_pid=$!
 wait_for_sock
 
+# Name-resolution contract: the CLI and the daemon resolve requests
+# through one resolver, so an unknown benchmark, machine or method dies
+# with the same one-line error, exit status 1, on both paths.
+for args in "BOGUS -m pentium4" "ART -m vax" "ART -m pentium4 -r bogus"; do
+  cli_rc=0
+  "$BIN" tune $args > /dev/null 2> "$SMOKE/err-cli" || cli_rc=$?
+  daemon_rc=0
+  "$BIN" client submit $args --daemon "$SOCK" > /dev/null 2> "$SMOKE/err-daemon" \
+    || daemon_rc=$?
+  if [ "$cli_rc" -eq 1 ] && [ "$daemon_rc" -eq 1 ] \
+     && [ "$(wc -l < "$SMOKE/err-cli")" -eq 1 ] \
+     && diff "$SMOKE/err-cli" "$SMOKE/err-daemon" > /dev/null; then
+    echo "   '$args' rejected with the same one-line error by tune and the daemon"
+  else
+    echo "   unexpected rejection of '$args' (tune exit $cli_rc, client exit $daemon_rc):" >&2
+    cat "$SMOKE/err-cli" "$SMOKE/err-daemon" >&2
+    kill -TERM "$tuned_pid"
+    exit 1
+  fi
+done
+
 # two concurrent tenants; tails must match the batch CLI's results below
 "$BIN" client submit ART --daemon "$SOCK" -m pentium4 -r rbr --search be \
   | tail -4 > "$SMOKE/serve-art.out" &

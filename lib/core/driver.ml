@@ -2,14 +2,6 @@ open Peak_machine
 open Peak_compiler
 open Peak_workload
 
-(* Search identity is owned by the Strategy registry; the re-export
-   keeps the historical [Driver.Ie]-style constructors valid at every
-   existing call site. *)
-type search_algo = Strategy.t = Ie | Be | Ce | Random of int | Ff | Ose | Staged
-
-let search_name = Strategy.key
-let search_of_string = Strategy.of_string
-
 type result = {
   benchmark : Benchmark.t;
   machine : Machine.t;
@@ -72,39 +64,25 @@ let result_summary (r : result) : Peak_store.Codec.session_result =
     r_metrics = Some r.metrics;
   }
 
-(* [?strategy] is the first-class spelling; [?search] remains as the
-   historical alias.  When both are given, [strategy] wins. *)
-let pick_strategy ?search ?strategy () =
-  match (strategy, search) with Some s, _ -> s | None, Some s -> s | None, None -> Ie
+let session_meta ?method_ ?(strategy = Strategy.Ie) ?(rating_params = Rating.default_params)
+    ?(threshold = 0.005) ?(seed = 11) ?(start = Optconfig.o3) ?faults benchmark machine dataset =
+  Job.meta
+    {
+      Job.benchmark;
+      machine;
+      dataset;
+      strategy;
+      method_;
+      params = rating_params;
+      threshold;
+      seed;
+      start;
+      faults;
+    }
 
-let session_meta ?method_ ?search ?strategy ?(rating_params = Rating.default_params)
-    ?(threshold = 0.005) ?(seed = 11) ?(start = Optconfig.o3) ?faults (benchmark : Benchmark.t)
-    machine dataset : Peak_store.Codec.session_meta =
-  let search = pick_strategy ?search ?strategy () in
-  let method_str = match method_ with Some m -> Method.key m | None -> "auto" in
-  let bench_name = benchmark.Benchmark.name in
-  let machine_name = machine.Machine.name in
-  let dataset_name = Trace.dataset_name dataset in
-  {
-    Peak_store.Codec.m_id =
-      Peak_store.Session.id_for ~benchmark:bench_name ~machine:machine_name
-        ~dataset:dataset_name ~search:(search_name search) ~method_:method_str ~seed;
-    m_benchmark = bench_name;
-    m_machine = machine_name;
-    m_dataset = dataset_name;
-    m_search = search_name search;
-    m_seed = seed;
-    m_threshold = threshold;
-    m_params = Rating.params_signature rating_params;
-    m_method = method_str;
-    m_start = start;
-    m_faults = (match faults with Some p -> Peak_sim.Fault.to_string p | None -> "-");
-  }
-
-let tune ?(seed = 11) ?search ?strategy ?(rating_params = Rating.default_params)
+let tune ?(seed = 11) ?(strategy = Strategy.Ie) ?(rating_params = Rating.default_params)
     ?(threshold = 0.005) ?compile ?pool ?method_ ?store ?start ?kb ?faults ?(retries = 2)
     ?progress (benchmark : Benchmark.t) machine dataset =
-  let search = pick_strategy ?search ?strategy () in
   if retries < 0 then invalid_arg "Driver.tune: retries must be >= 0";
   (* Tracing is observational only: spans and counters are emitted on
      the side and nothing below ever reads the tracer back, so a traced
@@ -628,8 +606,8 @@ let tune ?(seed = 11) ?search ?strategy ?(rating_params = Rating.default_params)
      are restricted to this benchmark/machine and folded in the index's
      deterministic sorted order. *)
   let corpus =
-    match (search, store) with
-    | Staged, Some session -> (
+    match (strategy, store) with
+    | Strategy.Staged, Some session -> (
         let bench_name = benchmark.Benchmark.name in
         let machine_name = machine.Machine.name in
         let index_path =
@@ -658,8 +636,8 @@ let tune ?(seed = 11) ?search ?strategy ?(rating_params = Rating.default_params)
      store session only sees them if the caller re-supplies the same
      KB (the CLI records the KB start in the session meta instead). *)
   let corpus =
-    match (search, kb) with
-    | Staged, Some kb ->
+    match (strategy, kb) with
+    | Strategy.Staged, Some kb ->
         let bench_name = String.lowercase_ascii benchmark.Benchmark.name in
         let machine_name = String.lowercase_ascii machine.Machine.name in
         corpus
@@ -674,11 +652,11 @@ let tune ?(seed = 11) ?search ?strategy ?(rating_params = Rating.default_params)
     | _ -> corpus
   in
   if corpus <> [] then
-    Peak_obs.count ~n:(List.length corpus) ("search." ^ search_name search ^ ".corpus");
+    Peak_obs.count ~n:(List.length corpus) ("search." ^ Strategy.key strategy ^ ".corpus");
   let best_config, search_stats, stages =
     let sid =
       Peak_obs.begin_span ~parent:tune_span ~cat:"phase.search"
-        ("search:" ^ search_name search)
+        ("search:" ^ Strategy.key strategy)
     in
     span_parent := sid;
     Fun.protect
@@ -693,9 +671,9 @@ let tune ?(seed = 11) ?search ?strategy ?(rating_params = Rating.default_params)
     let enter_stage k label =
       let s =
         Peak_obs.begin_span ~parent:sid ~cat:"phase.search.stage"
-          (Printf.sprintf "search:%s:stage%d" (search_name search) k)
+          (Printf.sprintf "search:%s:stage%d" (Strategy.key strategy) k)
       in
-      Peak_obs.count (Printf.sprintf "search.%s.%s" (search_name search) label);
+      Peak_obs.count (Printf.sprintf "search.%s.%s" (Strategy.key strategy) label);
       stage_span := Some s;
       span_parent := s
     in
@@ -708,7 +686,7 @@ let tune ?(seed = 11) ?search ?strategy ?(rating_params = Rating.default_params)
       Strategy.make_ctx ~threshold ~seed ~prepare ?rate_many ~corpus ~enter_stage
         ~leave_stage ~relative ()
     in
-    Strategy.run search ctx start
+    Strategy.run strategy ctx start
   in
   let attempts =
     List.rev
@@ -747,7 +725,7 @@ let tune ?(seed = 11) ?search ?strategy ?(rating_params = Rating.default_params)
       dataset;
       method_used = method_;
       attempts;
-      strategy = search;
+      strategy;
       stages;
       best_config;
       search_stats;
@@ -767,10 +745,9 @@ let tune ?(seed = 11) ?search ?strategy ?(rating_params = Rating.default_params)
     store;
   result
 
-let tune_suite ?(seed = 11) ?search ?strategy ?(rating_params = Rating.default_params)
+let tune_suite ?(seed = 11) ?strategy ?(rating_params = Rating.default_params)
     ?(threshold = 0.005) ?method_ ?(domains = 1) ?store_dir ?faults ?retries benchmarks machine
     dataset =
-  let search = pick_strategy ?search ?strategy () in
   (* Each benchmark gets its own session (own journal file); the
      journal writers themselves are mutex-serialized, so concurrent
      domain runners log safely through them. *)
@@ -779,7 +756,7 @@ let tune_suite ?(seed = 11) ?search ?strategy ?(rating_params = Rating.default_p
     | None -> None
     | Some dir ->
         let meta =
-          session_meta ?method_ ~search ~rating_params ~threshold ~seed ?faults benchmark
+          session_meta ?method_ ?strategy ~rating_params ~threshold ~seed ?faults benchmark
             machine dataset
         in
         (match Peak_store.Session.open_ ~dir ~meta () with
@@ -796,7 +773,7 @@ let tune_suite ?(seed = 11) ?search ?strategy ?(rating_params = Rating.default_p
           Fun.protect
             ~finally:(fun () -> Option.iter Peak_store.Session.close store)
             (fun () ->
-              tune ~seed ~search ~rating_params ~threshold ~pool ?method_ ?store ?faults
+              tune ~seed ?strategy ~rating_params ~threshold ~pool ?method_ ?store ?faults
                 ?retries benchmark machine dataset))
         benchmarks)
 

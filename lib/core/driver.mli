@@ -17,23 +17,6 @@
     the next method.  Every attempt — failed probes and the committed
     method — is recorded in {!result.attempts}. *)
 
-type search_algo = Strategy.t = Ie | Be | Ce | Random of int | Ff | Ose | Staged
-(** Re-export of {!Strategy.t}: search identity is owned by the
-    Strategy registry, and the historical [Driver.Ie]-style
-    constructors remain valid. *)
-
-val search_name : search_algo -> string
-(** = {!Strategy.key}: the stable lower-case key used in store session
-    ids and metadata (["ie"], ["be"], ["ce"], ["random100"], ["ff"],
-    ["ose"], ["staged"]). *)
-
-val search_of_string : string -> (search_algo, string) result
-(** = {!Strategy.of_string}, the inverse of {!search_name}
-    (case-insensitive; ["random"] alone means [Random 100] and
-    ["random<n>"] any positive sample count).  The one parser behind
-    the CLI's [-s]/[--search] and the service protocol's submit
-    requests. *)
-
 type result = {
   benchmark : Peak_workload.Benchmark.t;
   machine : Peak_machine.Machine.t;
@@ -88,7 +71,6 @@ val result_summary : result -> Peak_store.Codec.session_result
 
 val session_meta :
   ?method_:Method.t ->
-  ?search:search_algo ->
   ?strategy:Strategy.t ->
   ?rating_params:Rating.params ->
   ?threshold:float ->
@@ -99,14 +81,14 @@ val session_meta :
   Peak_machine.Machine.t ->
   Peak_workload.Trace.dataset ->
   Peak_store.Codec.session_meta
-(** Canonical store metadata (including the deterministic session id)
-    for a {!tune} call with the same parameters — what a CLI or library
-    caller passes to {!Peak_store.Session.open_} before tuning with
-    [?store].  Defaults mirror {!tune}'s. *)
+(** {!Job.meta} of the request a {!tune} call with the same parameters
+    makes: canonical store metadata, including the deterministic
+    session id — what a library caller passes to
+    {!Peak_store.Session.open_} before tuning with [?store].  Defaults
+    mirror {!tune}'s. *)
 
 val tune :
   ?seed:int ->
-  ?search:search_algo ->
   ?strategy:Strategy.t ->
   ?rating_params:Rating.params ->
   ?threshold:float ->
@@ -134,9 +116,8 @@ val tune :
     recommendation as an explicit [start] recorded in the session meta,
     as the CLI's [--kb] does, so resume stays KB-independent.
 
-    [strategy] (first-class spelling) and [search] (historical alias;
-    [strategy] wins when both are given) select the search plan from
-    the {!Strategy} registry — default Iterative Elimination.  The
+    [strategy] selects the search plan from the {!Strategy} registry —
+    default Iterative Elimination.  The
     chosen strategy and its executed stage boundaries are recorded in
     {!result.strategy}/{!result.stages} (and in [result.json], codec
     v5), each stage runs under a [search:<key>:stage<k>] span, and the
@@ -234,7 +215,6 @@ val tune :
 
 val tune_suite :
   ?seed:int ->
-  ?search:search_algo ->
   ?strategy:Strategy.t ->
   ?rating_params:Rating.params ->
   ?threshold:float ->

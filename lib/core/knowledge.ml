@@ -10,8 +10,8 @@ let program_features (b : Benchmark.t) (m : Peak_machine.Machine.t) =
     (Effects.machine_signature m tsec.Tsection.features)
 
 let features ~benchmark ~machine =
-  match (Registry.by_name benchmark, Peak_machine.Machine.by_name machine) with
-  | Some b, Some m -> Some (program_features b m)
+  match (Job.benchmark_of_string benchmark, Job.machine_of_string machine) with
+  | Ok b, Ok m -> Some (program_features b m)
   | _ -> None
 
 let build ~dir = Peak_store.Kb.build ~dir ~features

@@ -18,9 +18,9 @@ val program_features : Benchmark.t -> Peak_machine.Machine.t -> float array
 (** Feature vector of one registry benchmark on one machine. *)
 
 val features : benchmark:string -> machine:string -> float array option
-(** Resolver for {!Peak_store.Kb.of_sessions}: case-insensitive
-    registry and machine lookup; [None] for names the registry does
-    not know (e.g. fabricated test sessions). *)
+(** Resolver for {!Peak_store.Kb.of_sessions}: names resolved by
+    {!Job.benchmark_of_string} and {!Job.machine_of_string}; [None] for
+    names they do not know (e.g. fabricated test sessions). *)
 
 val build : dir:string -> (Peak_store.Kb.t, string) result
 (** [Kb.build] over the store at [dir] with the canonical resolver. *)

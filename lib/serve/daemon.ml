@@ -1,5 +1,3 @@
-open Peak_machine
-open Peak_workload
 open Peak
 
 let ( let* ) r f = Result.bind r f
@@ -50,124 +48,30 @@ type t = {
   mutable conns : (Unix.file_descr * Thread.t) list;
 }
 
-(* ---------------- name resolution ----------------
-   The server resolves benchmark/machine/dataset/search/method names
-   itself (the wire carries strings), with the CLI's spellings. *)
-
-type job = {
-  j_benchmark : Benchmark.t;
-  j_machine : Machine.t;
-  j_dataset : Trace.dataset;
-  j_strategy : Strategy.t;
-  j_method : Method.t option;
-  j_params : Rating.params;
-  j_threshold : float;
-  j_seed : int;
-  j_faults : Peak_sim.Fault.t option;
-}
-
-let find_benchmark name =
-  match Registry.by_name name with
-  | Some b -> Ok b
-  | None ->
-      Error
-        (Printf.sprintf "unknown benchmark %s (valid: %s)" name
-           (String.concat ", "
-              (List.sort String.compare
-                 (List.map (fun b -> b.Benchmark.name) Registry.all))))
-
-let find_machine name =
-  match Machine.by_name name with
-  | Some m -> Ok m
-  | None -> (
-      match String.lowercase_ascii name with
-      | "sparc2" | "sparc" -> Ok Machine.sparc2
-      | "pentium4" | "p4" -> Ok Machine.pentium4
-      | _ -> Error (Printf.sprintf "unknown machine %s (sparc2 | pentium4)" name))
-
-let find_dataset name =
-  match String.lowercase_ascii name with
-  | "train" -> Ok Trace.Train
-  | "ref" -> Ok Trace.Ref
-  | other -> Error ("unknown dataset " ^ other ^ " (train | ref)")
-
-let find_method name =
-  if String.lowercase_ascii name = "auto" then Ok None
-  else
-    match Method.of_string name with
-    | Some m -> Ok (Some m)
-    | None ->
-        Error
-          (Printf.sprintf "unknown rating method %s (valid: auto, %s)" name
-             (String.concat ", " Method.keys))
-
+(* The wire carries names as strings; {!Job} resolves them with the
+   CLI's spellings and errors.  A resume rebuilds the request from the
+   session's stored metadata, as the CLI's [session resume] does, so
+   daemon-side resume is bit-identical to batch-side resume. *)
 let job_of_spec (sp : Wire.submit_spec) =
-  let* j_benchmark = find_benchmark sp.Wire.sb_benchmark in
-  let* j_machine = find_machine sp.Wire.sb_machine in
-  let* j_dataset = find_dataset sp.Wire.sb_dataset in
-  let* j_strategy = Strategy.of_string sp.Wire.sb_search in
-  let* j_method = find_method sp.Wire.sb_method in
-  let* j_params =
-    match sp.Wire.sb_cap with
-    | None -> Ok Rating.default_params
-    | Some n when n >= 1 -> Ok { Rating.default_params with Rating.max_invocations = n }
-    | Some _ -> Error "rating cap must be >= 1"
-  in
+  let* benchmark = Job.benchmark_of_string sp.Wire.sb_benchmark in
+  let* machine = Job.machine_of_string sp.Wire.sb_machine in
+  let* dataset = Job.dataset_of_string sp.Wire.sb_dataset in
+  let* strategy = Strategy.of_string sp.Wire.sb_search in
+  let* method_ = Job.method_of_string sp.Wire.sb_method in
+  let* params = Job.params_of_cap sp.Wire.sb_cap in
   Ok
     {
-      j_benchmark;
-      j_machine;
-      j_dataset;
-      j_strategy;
-      j_method;
-      j_params;
-      j_threshold = 0.005;
-      j_seed = sp.Wire.sb_seed;
-      j_faults = None;
+      Job.benchmark;
+      machine;
+      dataset;
+      strategy;
+      method_;
+      params;
+      threshold = 0.005;
+      seed = sp.Wire.sb_seed;
+      start = Peak_compiler.Optconfig.o3;
+      faults = None;
     }
-
-(* Resume rebuilds the job from the session's stored metadata — same
-   recipe as the CLI's [session resume], so daemon-side resume is
-   bit-identical to batch-side resume. *)
-let job_of_stored ~dir id =
-  let* info = Peak_store.Session.load_info ~dir ~id in
-  let m = info.Peak_store.Session.info_meta in
-  let* j_benchmark = find_benchmark m.Peak_store.Codec.m_benchmark in
-  let* j_machine = find_machine m.Peak_store.Codec.m_machine in
-  let* j_dataset = find_dataset m.Peak_store.Codec.m_dataset in
-  let* j_strategy = Strategy.of_string m.Peak_store.Codec.m_search in
-  let* j_method = find_method m.Peak_store.Codec.m_method in
-  let* j_params =
-    match Rating.params_of_signature m.Peak_store.Codec.m_params with
-    | Some p -> Ok p
-    | None ->
-        Error ("session has unreadable rating parameters: " ^ m.Peak_store.Codec.m_params)
-  in
-  let* j_faults =
-    match m.Peak_store.Codec.m_faults with
-    | "-" -> Ok None
-    | spec -> (
-        match Peak_sim.Fault.of_string spec with
-        | Ok plan -> Ok (Some plan)
-        | Error e -> Error ("session has an unreadable fault plan: " ^ e))
-  in
-  Ok
-    {
-      j_benchmark;
-      j_machine;
-      j_dataset;
-      j_strategy;
-      j_method;
-      j_params;
-      j_threshold = m.Peak_store.Codec.m_threshold;
-      j_seed = m.Peak_store.Codec.m_seed;
-      j_faults;
-    }
-
-let meta_of_job job =
-  Driver.session_meta ?method_:job.j_method ~strategy:job.j_strategy
-    ~rating_params:job.j_params ~threshold:job.j_threshold ~seed:job.j_seed
-    ?faults:job.j_faults job.j_benchmark job.j_machine job.j_dataset
 
 (* ---------------- lifecycle ---------------- *)
 
@@ -290,9 +194,9 @@ let set_state entry st =
   Condition.broadcast entry.e_cond;
   Mutex.unlock entry.e_mutex
 
-let run_session t entry job ticket =
+let run_session t entry (job : Job.t) ticket =
   let t0 = Unix.gettimeofday () in
-  let meta = meta_of_job job in
+  let meta = Job.meta job in
   let abort () = Atomic.get entry.e_cancel || Atomic.get t.stopping in
   let outcome =
     match Peak_store.Session.open_ ~dir:t.cfg.store ~meta () with
@@ -316,11 +220,10 @@ let run_session t entry job ticket =
           ~finally:(fun () -> Peak_store.Session.close session)
           (fun () ->
             match
-              Driver.tune ~seed:job.j_seed ~strategy:job.j_strategy
-                ~rating_params:job.j_params ~threshold:job.j_threshold
-                ?method_:job.j_method ~pool:t.pool ~store:session
-                ?faults:job.j_faults ~progress job.j_benchmark job.j_machine
-                job.j_dataset
+              (* the start comes from the session's stored meta *)
+              Driver.tune ~seed:job.seed ~strategy:job.strategy ~rating_params:job.params
+                ~threshold:job.threshold ?method_:job.method_ ~pool:t.pool ~store:session
+                ?faults:job.faults ~progress job.benchmark job.machine job.dataset
             with
             | r -> Done (Driver.result_summary r)
             | exception Aborted why -> Cancelled why
@@ -342,7 +245,7 @@ type admit_outcome =
    session replays entirely and finishes in milliseconds, so re-submit
    is a cheap idempotent "ensure done". *)
 let start_or_attach t job =
-  let id = (meta_of_job job).Peak_store.Codec.m_id in
+  let id = (Job.meta job).Peak_store.Codec.m_id in
   Mutex.lock t.reg_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.reg_mutex) @@ fun () ->
   if Atomic.get t.stopping then Refused "daemon is stopping"
@@ -456,7 +359,7 @@ let run_job t ~send ~send_event ~mode job =
   | Busy retry_after ->
       send
         (Wire.Rejected
-           { rj_id = (meta_of_job job).Peak_store.Codec.m_id; rj_retry_after = retry_after })
+           { rj_id = (Job.meta job).Peak_store.Codec.m_id; rj_retry_after = retry_after })
   | Started entry | Attached entry -> (
       match wait_open entry with
       | -1, state ->
@@ -524,7 +427,10 @@ let handle_request t ~send ~send_event req =
       | Error e -> send (Wire.Error_r e)
       | Ok job -> run_job t ~send ~send_event ~mode:sp.Wire.sb_mode job)
   | Wire.Resume { rs_id; rs_mode } -> (
-      match job_of_stored ~dir:t.cfg.store rs_id with
+      match
+        let* info = Peak_store.Session.load_info ~dir:t.cfg.store ~id:rs_id in
+        Job.of_meta info.Peak_store.Session.info_meta
+      with
       | Error e -> send (Wire.Error_r e)
       | Ok job -> run_job t ~send ~send_event ~mode:rs_mode job)
   | Wire.Status_of id -> (

@@ -113,6 +113,11 @@ let meta_compatible (a : Codec.session_meta) (b : Codec.session_meta) =
       mismatch "dataset" a.Codec.m_dataset b.Codec.m_dataset;
       mismatch "search" a.Codec.m_search b.Codec.m_search;
       mismatch "seed" (string_of_int a.Codec.m_seed) (string_of_int b.Codec.m_seed);
+      (* the threshold steers search decisions, so a resume under another
+         one would match neither uninterrupted run *)
+      mismatch "threshold"
+        (Printf.sprintf "%.17g" a.Codec.m_threshold)
+        (Printf.sprintf "%.17g" b.Codec.m_threshold);
       mismatch "method" a.Codec.m_method b.Codec.m_method;
       mismatch "rating params" a.Codec.m_params b.Codec.m_params;
       mismatch "fault plan" a.Codec.m_faults b.Codec.m_faults;

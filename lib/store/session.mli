@@ -50,8 +50,8 @@ val open_ :
     store [dir].  If the session already exists its stored metadata wins
     (in particular the start configuration — a warm-started session
     resumes from its original start) after checking that the immutable
-    parameters (benchmark, machine, dataset, search, seed, method,
-    rating-parameter signature) match; the existing journal is replayed
+    parameters (benchmark, machine, dataset, search, seed, threshold,
+    method, rating-parameter signature, fault plan) match; the existing journal is replayed
     into the rating cache, tolerating a truncated crash tail.
 
     Single-writer discipline: opening writes a [.writer] pidfile in the

@@ -670,35 +670,140 @@ let test_params_signature_rejects_nonfinite () =
     [ "inf"; "-inf"; "nan"; "infinity"; "bogus" ]
 
 (* ------------------------------------------------------------------ *)
-(* Harness fallback                                                    *)
+(* §3 fallback, as Driver.tune walks it                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_harness_uses_first_applicable () =
-  let b = bench "APSI" in
-  let tsec = tsec_of b.Benchmark.ts in
-  let trace = b.Benchmark.trace Trace.Train ~seed:41 in
-  let profile = Profile.run tsec trace Machine.sparc2 in
-  let advice = Consultant.advise tsec profile in
-  let runner = Runner.create ~seed:42 tsec trace Machine.sparc2 in
-  let version = Version.compile Machine.sparc2 tsec.Tsection.features Optconfig.o3 in
-  let outcome = Harness.rate_with_fallback ~params:fast_params runner profile advice ~base:version version in
-  Alcotest.(check string) "CBR used" "CBR" (Method.name outcome.Harness.method_used);
-  Alcotest.(check int) "single attempt" 1 (List.length outcome.Harness.attempts)
+(* OSE rates a handful of presets, so these runs stay cheap; the
+   fallback decision is made before the search, on the start config *)
+let tune_apsi params =
+  Driver.tune ~seed:41 ~strategy:Strategy.Ose ~rating_params:params (bench "APSI")
+    Machine.sparc2 Trace.Train
 
-let test_harness_falls_back_on_tight_threshold () =
-  (* an impossible CBR threshold forces the switch the paper describes *)
-  let b = bench "APSI" in
-  let tsec = tsec_of b.Benchmark.ts in
-  let trace = b.Benchmark.trace Trace.Train ~seed:41 in
-  let profile = Profile.run tsec trace Machine.sparc2 in
-  let advice = Consultant.advise tsec profile in
-  let runner = Runner.create ~seed:42 tsec trace Machine.sparc2 in
-  let version = Version.compile Machine.sparc2 tsec.Tsection.features Optconfig.o3 in
+let test_fallback_uses_first_applicable () =
+  let r = tune_apsi fast_params in
+  Alcotest.(check string) "CBR used" "CBR" (Method.name r.Driver.method_used);
+  Alcotest.(check int) "single attempt" 1 (List.length r.Driver.attempts)
+
+let test_fallback_on_tight_threshold () =
+  (* an impossible convergence threshold forces the switch the paper
+     describes *)
   let params =
     { Rating.window = 10; rel_threshold = 1e-9; max_invocations = 120; outlier_k = 3.5 }
   in
-  let outcome = Harness.rate_with_fallback ~params runner profile advice ~base:version version in
-  Alcotest.(check bool) "more than one attempt" true (List.length outcome.Harness.attempts > 1)
+  let r = tune_apsi params in
+  Alcotest.(check bool) "more than one attempt" true (List.length r.Driver.attempts > 1)
+
+(* ------------------------------------------------------------------ *)
+(* Job: the one tuning request                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Job.t holds closures (the benchmark's trace generator) and a mutable
+   fault plan, so it is compared field by field: registry values by
+   identity, the fault plan by its canonical spec *)
+let same_job (a : Job.t) (b : Job.t) =
+  a.Job.benchmark == b.Job.benchmark
+  && a.Job.machine == b.Job.machine
+  && a.Job.dataset = b.Job.dataset
+  && a.Job.strategy = b.Job.strategy
+  && a.Job.method_ = b.Job.method_
+  && a.Job.params = b.Job.params
+  && Float.equal a.Job.threshold b.Job.threshold
+  && a.Job.seed = b.Job.seed
+  && Optconfig.equal a.Job.start b.Job.start
+  && Option.map Peak_sim.Fault.to_string a.Job.faults
+     = Option.map Peak_sim.Fault.to_string b.Job.faults
+
+let gen_job =
+  let open QCheck.Gen in
+  let pick l = oneofl l in
+  let* benchmark = pick Registry.all in
+  let* machine = pick Machine.all in
+  let* dataset = pick [ Trace.Train; Trace.Ref ] in
+  let* strategy = pick Strategy.all in
+  let* method_ = pick (None :: List.map Option.some Method.all) in
+  let* cap = opt (int_range 1 50_000) in
+  let* threshold = pick [ 0.005; 0.01; 0.0; 1e-9 ] in
+  let* seed = int_range 0 10_000 in
+  let* start = pick [ Optconfig.o3; Optconfig.o0; Optconfig.o_level 1; Optconfig.o_level 2 ] in
+  let* faults =
+    opt (map (fun seed -> Peak_sim.Fault.create ~spec:Peak_sim.Fault.default_spec ~seed ()) nat)
+  in
+  return
+    {
+      Job.benchmark;
+      machine;
+      dataset;
+      strategy;
+      method_;
+      params = Result.get_ok (Job.params_of_cap cap);
+      threshold;
+      seed;
+      start;
+      faults;
+    }
+
+let print_job j = Peak_store.Json.to_string (Peak_store.Codec.session_meta_to_json (Job.meta j))
+
+let prop_job_meta_roundtrip =
+  QCheck.Test.make ~name:"of_meta (meta j) rebuilds j" ~count:300
+    (QCheck.make ~print:print_job gen_job)
+    (fun j ->
+      match Job.of_meta (Job.meta j) with
+      | Ok j' -> same_job j j'
+      | Error e -> QCheck.Test.fail_reportf "of_meta failed: %s" e)
+
+let test_job_meta_matches_driver () =
+  let b = bench "ART" and machine = Machine.pentium4 in
+  let faults = Peak_sim.Fault.create ~spec:Peak_sim.Fault.default_spec ~seed:3 () in
+  let params = Result.get_ok (Job.params_of_cap (Some 40)) in
+  let job =
+    {
+      Job.benchmark = b;
+      machine;
+      dataset = Trace.Train;
+      strategy = Strategy.Be;
+      method_ = Some Method.Rbr;
+      params;
+      threshold = 0.005;
+      seed = 11;
+      start = Optconfig.o3;
+      faults = Some faults;
+    }
+  in
+  let via_driver =
+    Driver.session_meta ~method_:Method.Rbr ~strategy:Strategy.Be ~rating_params:params
+      ~seed:11 ~faults b machine Trace.Train
+  in
+  let json m = Peak_store.Json.to_string (Peak_store.Codec.session_meta_to_json m) in
+  Alcotest.(check string) "same id" via_driver.Peak_store.Codec.m_id
+    (Job.meta job).Peak_store.Codec.m_id;
+  Alcotest.(check string) "pinned id" "art-pentium_iv-train-be-rbr-s11"
+    (Job.meta job).Peak_store.Codec.m_id;
+  Alcotest.(check string) "same meta bytes" (json via_driver) (json (Job.meta job))
+
+let test_job_aliases () =
+  let ok = function Ok v -> v | Error e -> Alcotest.fail e in
+  Alcotest.(check bool) "P4" true (ok (Job.machine_of_string "P4") == Machine.pentium4);
+  Alcotest.(check bool) "sparc" true (ok (Job.machine_of_string "sparc") == Machine.sparc2);
+  Alcotest.(check bool) "display name" true
+    (ok (Job.machine_of_string "pentium iv") == Machine.pentium4);
+  Alcotest.(check bool) "TRAIN" true (ok (Job.dataset_of_string "TRAIN") = Trace.Train);
+  Alcotest.(check string) "benchmark case" "ART"
+    (ok (Job.benchmark_of_string "art")).Benchmark.name;
+  Alcotest.(check bool) "AUTO" true (ok (Job.method_of_string "AUTO") = None);
+  Alcotest.(check bool) "rbr" true (ok (Job.method_of_string "rbr") = Some Method.Rbr);
+  Alcotest.(check bool) "cap 0 rejected" true (Result.is_error (Job.params_of_cap (Some 0)));
+  List.iter
+    (fun (what, r) ->
+      match r with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error e -> Alcotest.(check bool) (what ^ " one-line") false (String.contains e '\n'))
+    [
+      ("benchmark", Result.map ignore (Job.benchmark_of_string "GCC"));
+      ("machine", Result.map ignore (Job.machine_of_string "vax"));
+      ("dataset", Result.map ignore (Job.dataset_of_string "test"));
+      ("method", Result.map ignore (Job.method_of_string "bogus"));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Search                                                              *)
@@ -1047,10 +1152,16 @@ let suites =
         Alcotest.test_case "params signature rejects non-finite" `Quick
           test_params_signature_rejects_nonfinite;
       ] );
-    ( "core.harness",
+    ( "core.job",
       [
-        Alcotest.test_case "first applicable" `Quick test_harness_uses_first_applicable;
-        Alcotest.test_case "fallback" `Quick test_harness_falls_back_on_tight_threshold;
+        QCheck_alcotest.to_alcotest prop_job_meta_roundtrip;
+        Alcotest.test_case "meta matches Driver.session_meta" `Quick test_job_meta_matches_driver;
+        Alcotest.test_case "aliases" `Quick test_job_aliases;
+      ] );
+    ( "core.fallback",
+      [
+        Alcotest.test_case "first applicable" `Quick test_fallback_uses_first_applicable;
+        Alcotest.test_case "tight threshold" `Quick test_fallback_on_tight_threshold;
       ] );
     ( "core.search",
       [

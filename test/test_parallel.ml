@@ -17,7 +17,7 @@ let check_identical = Oracles.check_identical
 (* ------------------------------------------------------------------ *)
 
 let suite_results domains =
-  Driver.tune_suite ~search:Driver.Be ~domains
+  Driver.tune_suite ~strategy:Strategy.Be ~domains
     [ bench "SWIM"; bench "MGRID"; bench "ART" ]
     Machine.sparc2 Trace.Train
 

@@ -737,19 +737,19 @@ let test_index_last_write_wins () =
 (* Sessions: parameter safety and resume determinism                   *)
 (* ------------------------------------------------------------------ *)
 
-let meta_for ?start ?(seed = 11) ~method_ ~search b machine =
-  Driver.session_meta ?start ~seed ~method_ ~search b machine Trace.Train
+let meta_for ?start ?(seed = 11) ~method_ ~strategy b machine =
+  Driver.session_meta ?start ~seed ~method_ ~strategy b machine Trace.Train
 
 let test_session_rejects_changed_params () =
   with_tmpdir @@ fun dir ->
   let b = bench "ART" and machine = Machine.sparc2 in
-  let meta = meta_for ~method_:Method.Rbr ~search:Driver.Be b machine in
+  let meta = meta_for ~method_:Method.Rbr ~strategy:Strategy.Be b machine in
   let s = Result.get_ok (Session.open_ ~dir ~meta ()) in
   Session.close s;
   (* same id, different rating parameters: must refuse, not silently mix *)
   let params = { Rating.default_params with Rating.window = 80 } in
   let meta' =
-    Driver.session_meta ~seed:11 ~method_:Method.Rbr ~search:Driver.Be ~rating_params:params
+    Driver.session_meta ~seed:11 ~method_:Method.Rbr ~strategy:Strategy.Be ~rating_params:params
       b machine Trace.Train
   in
   match Session.open_ ~dir ~meta:meta' () with
@@ -759,19 +759,42 @@ let test_session_rejects_changed_params () =
   | Error msg ->
       Alcotest.(check bool) "one-line reason" false (String.contains msg '\n')
 
+(* the threshold steers search decisions: a session recorded at the
+   default must not reopen under another one, whether asked for
+   directly or through [tune_suite ~store_dir] *)
+let test_session_rejects_changed_threshold () =
+  with_tmpdir @@ fun dir ->
+  let b = bench "ART" and machine = Machine.sparc2 in
+  let meta = Driver.session_meta b machine Trace.Train in
+  let s = Result.get_ok (Session.open_ ~dir ~meta ()) in
+  Session.close s;
+  let names_threshold = Oracles.contains ~sub:"threshold" in
+  (match
+     Session.open_ ~dir ~meta:(Driver.session_meta ~threshold:0.01 b machine Trace.Train) ()
+   with
+  | Ok s' ->
+      Session.close s';
+      Alcotest.fail "session reopened under a different threshold"
+  | Error msg ->
+      Alcotest.(check bool) ("error names threshold: " ^ msg) true (names_threshold msg));
+  match Driver.tune_suite ~threshold:0.01 ~store_dir:dir [ b ] machine Trace.Train with
+  | _ -> Alcotest.fail "tune_suite reopened a session under a different threshold"
+  | exception Failure msg ->
+      Alcotest.(check bool) ("suite error names threshold: " ^ msg) true (names_threshold msg)
+
 let resume_case ~bname ~method_ () =
   with_tmpdir @@ fun root ->
   let b = bench bname and machine = Machine.sparc2 in
-  let search = Driver.Be in
+  let strategy = Strategy.Be in
   let full_dir = Filename.concat root "full" in
-  let meta = meta_for ~method_ ~search b machine in
+  let meta = meta_for ~method_ ~strategy b machine in
   let id = meta.Codec.m_id in
   (* the uninterrupted reference run, journaling as it goes *)
   let session = Result.get_ok (Session.open_ ~dir:full_dir ~meta ()) in
   let full =
     Fun.protect
       ~finally:(fun () -> Session.close session)
-      (fun () -> Driver.tune ~seed:11 ~search ~method_ ~store:session b machine Trace.Train)
+      (fun () -> Driver.tune ~seed:11 ~strategy ~method_ ~store:session b machine Trace.Train)
   in
   let n_events = (Result.get_ok (Session.load_info ~dir:full_dir ~id)).Session.info_events in
   Alcotest.(check bool) (bname ^ ": session journaled events") true (n_events > 0);
@@ -790,7 +813,7 @@ let resume_case ~bname ~method_ () =
           ~finally:(fun () -> Session.close session)
           (fun () ->
             let tune pool =
-              Driver.tune ~seed:11 ~search ~method_ ?pool ~store:session b machine
+              Driver.tune ~seed:11 ~strategy ~method_ ?pool ~store:session b machine
                 Trace.Train
             in
             if domains > 1 then Pool.run ~domains (fun p -> tune (Some p)) else tune None)
@@ -811,7 +834,7 @@ let resume_case ~bname ~method_ () =
      the deterministic per-candidate scheme *)
   let pooled =
     Pool.run ~domains:2 (fun pool ->
-        Driver.tune ~seed:11 ~search ~method_ ~pool b machine Trace.Train)
+        Driver.tune ~seed:11 ~strategy ~method_ ~pool b machine Trace.Train)
   in
   check_identical (bname ^ " store vs plain pool path") full pooled
 
@@ -825,10 +848,10 @@ let resume_case ~bname ~method_ () =
 let test_fallback_resume () =
   with_tmpdir @@ fun root ->
   let b = bench "MGRID" and machine = Machine.sparc2 in
-  let search = Driver.Be in
+  let strategy = Strategy.Be in
   let rating_params = { Rating.default_params with Rating.max_invocations = 30 } in
   let meta =
-    Driver.session_meta ~seed:11 ~search ~rating_params b machine Trace.Train
+    Driver.session_meta ~seed:11 ~strategy ~rating_params b machine Trace.Train
   in
   let id = meta.Codec.m_id in
   let full_dir = Filename.concat root "full" in
@@ -836,7 +859,7 @@ let test_fallback_resume () =
   let full =
     Fun.protect
       ~finally:(fun () -> Session.close session)
-      (fun () -> Driver.tune ~seed:11 ~search ~rating_params ~store:session b machine Trace.Train)
+      (fun () -> Driver.tune ~seed:11 ~strategy ~rating_params ~store:session b machine Trace.Train)
   in
   Alcotest.(check bool) "starved budget forced a fallback" true
     (List.length full.Driver.attempts > 1);
@@ -862,7 +885,7 @@ let test_fallback_resume () =
           ~finally:(fun () -> Session.close session)
           (fun () ->
             let tune pool =
-              Driver.tune ~seed:11 ~search ~rating_params ?pool ~store:session b machine
+              Driver.tune ~seed:11 ~strategy ~rating_params ?pool ~store:session b machine
                 Trace.Train
             in
             if domains > 1 then Pool.run ~domains (fun p -> tune (Some p)) else tune None)
@@ -1035,6 +1058,8 @@ let suites =
       [
         Alcotest.test_case "changed rating params rejected" `Slow
           test_session_rejects_changed_params;
+        Alcotest.test_case "changed threshold rejected" `Quick
+          test_session_rejects_changed_threshold;
         Alcotest.test_case "CBR resume bit-identical (SWIM)" `Slow
           (resume_case ~bname:"SWIM" ~method_:Method.Cbr);
         Alcotest.test_case "MBR resume bit-identical (MGRID)" `Slow
